@@ -61,8 +61,12 @@
 // either way, asserted by property tests and by benchrunner E18,
 // which requires the pruned+projected path to read >= 5x fewer bytes
 // at >= 2x the throughput of the row scan. The log mover seals hours
-// as it publishes them (Mover.SealColumnar), so rollups, raw-log
-// counting, and funnel walks go columnar the moment an hour lands.
+// as it publishes them (Mover.SealColumnar): it encodes the columns from
+// the records it is already merging, into its private tmp directory,
+// so one rename publishes rows and columns together, and rollups,
+// raw-log counting, and funnel walks go columnar the moment an hour
+// lands. The merge itself deflates nothing: staging files that pass
+// the inflate-and-parse check are copied as whole gzip members.
 //
 // The whole dataflow executes multi-core behind one knob:
 // dataflow.Job.Parallelism (default runtime.GOMAXPROCS(0); 1 forces the
@@ -83,9 +87,8 @@
 // marks a scan whose consumer is order-insensitive (anything feeding a
 // shuffle already is), letting splits deliver as they finish instead of
 // through the reorder buffer. Concurrent hour sealing rides the same
-// knob — columnar.SealDayParallel / Mover.SealParallelism seal the 24
-// hour directories on a worker pool, hours being independent — and the
-// pool depths and per-stage busy time report through telemetry
+// knob — columnar.SealDayParallel seals the 24 hour directories on a
+// worker pool, hours being independent — and the pool depths and per-stage busy time report through telemetry
 // (dataflow.parallel.workers, dataflow.parallel.*.busy.ns,
 // dataflow.parallel.scan.queue.depth, columnar.seal.workers).
 //

@@ -30,7 +30,10 @@
 // after the last chunk. An hour without the marker is not columnar —
 // scans keep reading its row files, and the next SealHour removes the
 // orphaned chunk files and re-seals from scratch — so a seal that dies
-// mid-hour can never silently drop the rows it had not reached.
+// mid-hour can never silently drop the rows it had not reached. The log
+// mover goes one step further: it feeds an HourEncoder the records it is
+// merging, in its private tmp directory, so the rename that
+// publishes an hour publishes its chunks and marker with it.
 //
 // The reader side lives in format.go: EventsFormat is a pushdown-aware
 // dataflow.InputFormat whose splits are chunk meta files. A pushed-down
@@ -45,6 +48,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -155,9 +159,6 @@ func SealHour(fs *hdfs.FS, category string, hour time.Time) (int, error) {
 // SealHourChunks is SealHour with an explicit chunk size (tests use tiny
 // chunks to exercise pruning on small corpora).
 func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int) (int, error) {
-	if chunkRows <= 0 {
-		chunkRows = DefaultChunkRows
-	}
 	dir := warehouse.HourDir(category, hour)
 	if !fs.Exists(dir) || HasColumnar(fs, dir) {
 		return 0, nil
@@ -166,43 +167,82 @@ func SealHourChunks(fs *hdfs.FS, category string, hour time.Time, chunkRows int)
 		return 0, err
 	}
 	t0 := time.Now()
-	var (
-		buf    []*events.ClientEvent
-		chunks int
-	)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if err := writeChunk(fs, dir, chunks, buf); err != nil {
-			return err
-		}
-		tmSealChunks.Inc()
-		tmSealRows.Add(int64(len(buf)))
-		chunks++
-		buf = buf[:0]
-		return nil
+	enc := NewHourEncoder(fs, dir, chunkRows)
+	if err := warehouse.ScanHour(fs, category, hour, enc.Add); err != nil {
+		return enc.chunks, err
 	}
-	err := warehouse.ScanHour(fs, category, hour, func(e *events.ClientEvent) error {
-		cp := *e
-		buf = append(buf, &cp)
-		if len(buf) >= chunkRows {
-			return flush()
-		}
-		return nil
-	})
+	n, err := enc.Finish()
 	if err != nil {
-		return chunks, err
-	}
-	if err := flush(); err != nil {
-		return chunks, err
-	}
-	if err := fs.WriteFile(sealedPath(dir), encodeSealed(chunks)); err != nil {
-		return chunks, fmt.Errorf("columnar: write seal marker %s: %w", sealedPath(dir), err)
+		return n, err
 	}
 	tmSealHourNs.ObserveSince(t0)
-	return chunks, nil
+	return n, nil
 }
+
+// HourEncoder encodes a stream of events, in the hour's row-scan order,
+// into the column chunks of one hour directory: every chunkRows events
+// become one chunk, and Finish writes the last partial chunk and then the
+// _col-SEALED marker. SealHourChunks feeds it from a scan of a published
+// hour; the log mover feeds it the records it is merging, into its
+// private tmp directory, so the rename that publishes the row files
+// publishes the columns with them.
+type HourEncoder struct {
+	fs        *hdfs.FS
+	dir       string
+	chunkRows int
+	buf       []events.ClientEvent
+	chunks    int
+}
+
+// NewHourEncoder returns an encoder writing chunks of chunkRows events
+// (<= 0 means DefaultChunkRows) into dir.
+func NewHourEncoder(fs *hdfs.FS, dir string, chunkRows int) *HourEncoder {
+	if chunkRows <= 0 {
+		chunkRows = DefaultChunkRows
+	}
+	return &HourEncoder{fs: fs, dir: dir, chunkRows: chunkRows}
+}
+
+// Add appends a copy of e to the current chunk, writing the chunk once it
+// holds chunkRows events.
+func (h *HourEncoder) Add(e *events.ClientEvent) error {
+	h.buf = append(h.buf, *e)
+	if len(h.buf) >= h.chunkRows {
+		return h.flush()
+	}
+	return nil
+}
+
+func (h *HourEncoder) flush() error {
+	if len(h.buf) == 0 {
+		return nil
+	}
+	if err := writeChunk(h.fs, h.dir, h.chunks, h.buf); err != nil {
+		return err
+	}
+	tmSealChunks.Inc()
+	tmSealRows.Add(int64(len(h.buf)))
+	h.chunks++
+	clear(h.buf)
+	h.buf = h.buf[:0]
+	return nil
+}
+
+// Finish writes the last partial chunk and the completion marker,
+// returning the number of chunks written.
+func (h *HourEncoder) Finish() (int, error) {
+	if err := h.flush(); err != nil {
+		return h.chunks, err
+	}
+	if err := h.fs.WriteFile(sealedPath(h.dir), encodeSealed(h.chunks)); err != nil {
+		return h.chunks, fmt.Errorf("columnar: write seal marker %s: %w", sealedPath(h.dir), err)
+	}
+	return h.chunks, nil
+}
+
+// Discard removes every column file in the encoder's directory, leaving
+// it row-only.
+func (h *HourEncoder) Discard() error { return removeTornSeal(h.fs, h.dir) }
 
 // SealDay seals every existing hour of a category's UTC day, returning
 // the total chunk count. Hours seal concurrently on up to
@@ -292,14 +332,18 @@ func newFramed() *framed {
 
 // writeChunk encodes one chunk of events (column files first, the meta
 // file last, so a torn seal never claims a chunk it did not finish).
-func writeChunk(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) error {
+func writeChunk(fs *hdfs.FS, dir string, idx int, evs []events.ClientEvent) error {
 	base := chunkBase(dir, idx)
+	names := make([]string, len(evs))
+	for i := range evs {
+		names[i] = evs[i].Name.String()
+	}
 	cols := map[string][]byte{
 		"initiator":  encodeInitiator(evs),
-		"name":       encodeDict(evs, func(e *events.ClientEvent) string { return e.Name.String() }),
+		"name":       encodeDict(len(evs), func(i int) string { return names[i] }),
 		"user_id":    encodeUserIDs(evs),
-		"session_id": encodeDict(evs, func(e *events.ClientEvent) string { return e.SessionID }),
-		"ip":         encodeDict(evs, func(e *events.ClientEvent) string { return e.IP }),
+		"session_id": encodeDict(len(evs), func(i int) string { return evs[i].SessionID }),
+		"ip":         encodeDict(len(evs), func(i int) string { return evs[i].IP }),
 		"timestamp":  encodeTimestamps(evs),
 		"logged_in":  encodeLoggedIn(evs),
 		"details":    encodeDetails(evs),
@@ -309,7 +353,7 @@ func writeChunk(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) err
 			return fmt.Errorf("columnar: write chunk %s.%s: %w", base, col, err)
 		}
 	}
-	if err := fs.WriteFile(base+".meta", encodeMeta(evs)); err != nil {
+	if err := fs.WriteFile(base+".meta", encodeMeta(evs, names)); err != nil {
 		return fmt.Errorf("columnar: write chunk %s.meta: %w", base, err)
 	}
 	return nil
@@ -317,17 +361,18 @@ func writeChunk(fs *hdfs.FS, dir string, idx int, evs []*events.ClientEvent) err
 
 // encodeMeta builds the zone-map file: one CRC record with the row count,
 // the timestamp range, and the lexical name range of the chunk.
-func encodeMeta(evs []*events.ClientEvent) []byte {
+func encodeMeta(evs []events.ClientEvent, names []string) []byte {
 	minTs, maxTs := evs[0].Timestamp, evs[0].Timestamp
-	minName, maxName := evs[0].Name.String(), evs[0].Name.String()
-	for _, e := range evs[1:] {
+	minName, maxName := names[0], names[0]
+	for i := range evs[1:] {
+		e := &evs[i+1]
 		if e.Timestamp < minTs {
 			minTs = e.Timestamp
 		}
 		if e.Timestamp > maxTs {
 			maxTs = e.Timestamp
 		}
-		n := e.Name.String()
+		n := names[i+1]
 		if n < minName {
 			minName = n
 		}
@@ -360,10 +405,10 @@ func appendString(b []byte, s string) []byte {
 
 // encodeDict encodes one string column as two CRC records: the sorted
 // per-chunk dictionary, then one uvarint dictionary ID per row.
-func encodeDict(evs []*events.ClientEvent, get func(*events.ClientEvent) string) []byte {
+func encodeDict(rows int, get func(i int) string) []byte {
 	distinct := make(map[string]int)
-	for _, e := range evs {
-		distinct[get(e)] = 0
+	for i := 0; i < rows; i++ {
+		distinct[get(i)] = 0
 	}
 	dict := make([]string, 0, len(distinct))
 	for s := range distinct {
@@ -379,8 +424,8 @@ func encodeDict(evs []*events.ClientEvent, get func(*events.ClientEvent) string)
 		d = appendString(d, s)
 	}
 	var ids []byte
-	for _, e := range evs {
-		ids = binary.AppendUvarint(ids, uint64(distinct[get(e)]))
+	for i := 0; i < rows; i++ {
+		ids = binary.AppendUvarint(ids, uint64(distinct[get(i)]))
 	}
 	f := newFramed()
 	f.w.Append(d)
@@ -389,10 +434,10 @@ func encodeDict(evs []*events.ClientEvent, get func(*events.ClientEvent) string)
 }
 
 // encodeUserIDs packs the user_id column as zig-zag varints.
-func encodeUserIDs(evs []*events.ClientEvent) []byte {
+func encodeUserIDs(evs []events.ClientEvent) []byte {
 	var rec []byte
-	for _, e := range evs {
-		rec = binary.AppendVarint(rec, e.UserID)
+	for i := range evs {
+		rec = binary.AppendVarint(rec, evs[i].UserID)
 	}
 	f := newFramed()
 	f.w.Append(rec)
@@ -402,12 +447,12 @@ func encodeUserIDs(evs []*events.ClientEvent) []byte {
 // encodeTimestamps delta-codes the timestamp column: each row stores the
 // zig-zag difference from the previous row (the first from zero), so a
 // time-ordered hour costs a byte or two per row.
-func encodeTimestamps(evs []*events.ClientEvent) []byte {
+func encodeTimestamps(evs []events.ClientEvent) []byte {
 	var rec []byte
 	prev := int64(0)
-	for _, e := range evs {
-		rec = binary.AppendVarint(rec, e.Timestamp-prev)
-		prev = e.Timestamp
+	for i := range evs {
+		rec = binary.AppendVarint(rec, evs[i].Timestamp-prev)
+		prev = evs[i].Timestamp
 	}
 	f := newFramed()
 	f.w.Append(rec)
@@ -416,12 +461,12 @@ func encodeTimestamps(evs []*events.ClientEvent) []byte {
 
 // encodeInitiator run-length encodes the initiator column as (byte, run)
 // pairs — a handful of distinct values with long runs.
-func encodeInitiator(evs []*events.ClientEvent) []byte {
+func encodeInitiator(evs []events.ClientEvent) []byte {
 	return encodeRLE(evs, func(e *events.ClientEvent) byte { return byte(e.Initiator) })
 }
 
 // encodeLoggedIn run-length encodes the derived logged_in flag.
-func encodeLoggedIn(evs []*events.ClientEvent) []byte {
+func encodeLoggedIn(evs []events.ClientEvent) []byte {
 	return encodeRLE(evs, func(e *events.ClientEvent) byte {
 		if e.LoggedIn() {
 			return 1
@@ -432,13 +477,13 @@ func encodeLoggedIn(evs []*events.ClientEvent) []byte {
 
 // encodeRLE encodes one byte-valued column as (value, run-length) pairs
 // in a single CRC record.
-func encodeRLE(evs []*events.ClientEvent, get func(*events.ClientEvent) byte) []byte {
+func encodeRLE(evs []events.ClientEvent, get func(*events.ClientEvent) byte) []byte {
 	var rec []byte
 	i := 0
 	for i < len(evs) {
-		v := get(evs[i])
+		v := get(&evs[i])
 		j := i + 1
-		for j < len(evs) && get(evs[j]) == v {
+		for j < len(evs) && get(&evs[j]) == v {
 			j++
 		}
 		rec = append(rec, v)
@@ -453,16 +498,17 @@ func encodeRLE(evs []*events.ClientEvent, get func(*events.ClientEvent) byte) []
 // encodeDetails encodes the details map column: per row a pair count then
 // length-prefixed key/value strings, keys sorted for determinism. Zero
 // pairs round-trips as a nil map, matching the thrift row decoder.
-func encodeDetails(evs []*events.ClientEvent) []byte {
+func encodeDetails(evs []events.ClientEvent) []byte {
 	var rec []byte
 	var keys []string
-	for _, e := range evs {
+	for i := range evs {
+		e := &evs[i]
 		rec = binary.AppendUvarint(rec, uint64(len(e.Details)))
 		keys = keys[:0]
 		for k := range e.Details {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
 			rec = appendString(rec, k)
 			rec = appendString(rec, e.Details[k])

@@ -15,6 +15,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"unilog/internal/thrift"
@@ -355,9 +356,17 @@ func (e *ClientEvent) Encode(enc thrift.Encoder) {
 	if len(e.Details) > 0 {
 		enc.WriteFieldBegin(thrift.MAP, fieldDetails)
 		enc.WriteMapBegin(thrift.STRING, thrift.STRING, len(e.Details))
-		for k, v := range e.Details {
+		// Keys go out sorted, so equal events marshal to equal bytes; the
+		// array keeps the key list of a small map off the heap.
+		var small [8]string
+		keys := small[:0]
+		for k := range e.Details {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
 			enc.WriteString(k)
-			enc.WriteString(v)
+			enc.WriteString(e.Details[k])
 		}
 	}
 	enc.WriteFieldStop()

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -163,6 +164,55 @@ func TestClientEventRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEqualEvent(t, in, &fromBinary)
+}
+
+// TestMarshalDeterministic: the Details map is written in sorted key
+// order, so one event always marshals to the same bytes (Go's map order
+// is randomized per iteration), and those bytes still round-trip.
+func TestMarshalDeterministic(t *testing.T) {
+	in := &ClientEvent{
+		Initiator: InitiatorClientUser,
+		Name:      MustParseName(paperExample),
+		UserID:    12345,
+		SessionID: "c0ffee-cookie",
+		IP:        "10.1.2.3",
+		Timestamp: 1345536000123,
+		Details:   map[string]string{"profile_id": "678", "rank": "3", "query": "vldb", "url": "t.co/x", "lang": "en"},
+	}
+	want := in.Marshal()
+	for i := 0; i < 100; i++ {
+		if got := in.Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("marshal %d differs:\n got %x\nwant %x", i, got, want)
+		}
+	}
+	var out ClientEvent
+	if err := out.Unmarshal(want); err != nil {
+		t.Fatal(err)
+	}
+	assertEqualEvent(t, in, &out)
+}
+
+// TestEncodeSortsSmallMapsWithoutAllocating: sorting the keys of a small
+// Details map costs no heap allocation — encoding with details allocates
+// exactly as much as encoding without (the event name's string is the
+// one allocation either way).
+func TestEncodeSortsSmallMapsWithoutAllocating(t *testing.T) {
+	with := &ClientEvent{
+		Name:    MustParseName(paperExample),
+		Details: map[string]string{"c": "3", "a": "1", "b": "2", "d": "4"},
+	}
+	without := &ClientEvent{Name: with.Name}
+	enc := thrift.NewCompactEncoder()
+	allocs := func(e *ClientEvent) float64 {
+		e.Encode(enc) // grow the buffer once
+		return testing.AllocsPerRun(100, func() {
+			enc.Reset()
+			e.Encode(enc)
+		})
+	}
+	if a, b := allocs(with), allocs(without); a != b {
+		t.Fatalf("encode allocates %v times with a 4-key map, %v without", a, b)
+	}
 }
 
 func assertEqualEvent(t *testing.T, want, got *ClientEvent) {

@@ -9,7 +9,12 @@
 //     gzipped record stream; corrupt files fail the move rather than
 //     silently losing data;
 //  3. merges the many small per-aggregator files into a few big warehouse
-//     files, re-compressing as it goes;
+//     files by copying each validated file's gzip members verbatim — a
+//     gzip file may hold several members (RFC 1952), and every reader
+//     decodes them as one record stream — so nothing is compressed twice.
+//     Records are re-framed and re-compressed only when a Transform
+//     rewrites them, or when one staging file alone is larger than
+//     TargetFileBytes and must be split;
 //  4. atomically slides the hour into /logs/<category>/YYYY/MM/DD/HH/ with
 //     a single directory rename;
 //  5. records an audit trace of what moved, how many records, and from
@@ -71,25 +76,23 @@ type Mover struct {
 	Sources   []Source
 	// TargetFileBytes is the approximate uncompressed size of each merged
 	// warehouse file ("merging many small files into a few big ones", §2).
+	// A file rolls once it reaches the target, at a staging-file boundary
+	// when files are copied whole.
 	TargetFileBytes int64
 	// Transform, when set, rewrites each record on its way into the
 	// warehouse — §2's "sanity checks and transformations". Returning nil
 	// drops the record (counted in the audit); a typical transform is the
 	// §3.2 anonymization policy. Errors abort the move.
 	Transform func(category string, rec []byte) ([]byte, error)
-	// SealColumnar re-encodes each client-events hour into column chunks
-	// (internal/columnar) right after it is published, so batch queries
-	// over the hour get zone-map pruning and projection pushdown from the
-	// moment it lands. Other categories are unaffected: sealing decodes
-	// events.ClientEvent, which only the unified category stores.
+	// SealColumnar encodes each client-events hour into column chunks
+	// (internal/columnar) from the records the move is merging, so the
+	// rename that publishes the hour's row files publishes its columns
+	// too, and batch queries get zone-map pruning and projection pushdown
+	// from the moment it lands. Other categories are unaffected: sealing
+	// decodes events.ClientEvent, which only the unified category stores.
+	// A record that is not a valid ClientEvent fails only the seal: the
+	// hour still publishes row-only, and the move returns the seal error.
 	SealColumnar bool
-	// SealParallelism caps the workers of the columnar sealing pass that
-	// MoveAllSealed runs after publishing its hours: moves stay ordered
-	// and sequential (the rename is the correctness point), but the
-	// CPU-bound re-encode of the published hours fans out. <= 0 means
-	// runtime.GOMAXPROCS(0); 1 seals hour by hour. MoveHour always seals
-	// its single hour inline.
-	SealParallelism int
 	// Clock stamps audit records; nil uses time.Now.
 	Clock func() time.Time
 
@@ -121,34 +124,56 @@ func (m *Mover) HourSealed(category string, hour time.Time) bool {
 }
 
 // MoveHour merges one sealed category-hour from all staging clusters into
-// the warehouse and atomically publishes it. On any error the warehouse is
-// untouched.
+// the warehouse and atomically publishes it. On a move error the
+// warehouse is untouched; a seal error is returned after the hour has
+// published row-only.
 func (m *Mover) MoveHour(category string, hour time.Time) (AuditRecord, error) {
-	return m.moveHour(category, hour, true)
+	rec, sealErr, err := m.moveHour(category, hour)
+	if err != nil {
+		return rec, err
+	}
+	return rec, sealErr
 }
 
-// moveHour publishes one hour; sealInline controls whether the columnar
-// re-encode happens here (MoveHour) or is left to the caller's deferred
-// sealing pass (MoveAllSealed, which fans the seals out after all moves).
-func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (AuditRecord, error) {
-	rec := AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
+// moveHour publishes one hour. err means nothing was published; sealErr
+// means the hour published row-only because its columnar seal failed.
+func (m *Mover) moveHour(category string, hour time.Time) (rec AuditRecord, sealErr, err error) {
+	rec = AuditRecord{Category: category, Hour: hour.UTC().Truncate(time.Hour), Started: m.Clock()}
 	destDir := warehouse.HourDir(category, hour)
 	if m.Warehouse.Exists(destDir) {
-		return rec, fmt.Errorf("%w: %s", ErrAlreadyMoved, destDir)
+		return rec, nil, fmt.Errorf("%w: %s", ErrAlreadyMoved, destDir)
 	}
 	if !m.HourSealed(category, hour) {
-		return rec, fmt.Errorf("%w: %s %s", ErrHourIncomplete, category, warehouse.HourPath(hour))
+		return rec, nil, fmt.Errorf("%w: %s %s", ErrHourIncomplete, category, warehouse.HourPath(hour))
 	}
 
 	tmpDir := fmt.Sprintf("%s/mover/%s/%s", warehouse.TmpRoot, category, warehouse.HourPath(hour))
 	// A previous failed attempt may have left debris; start clean.
 	if m.Warehouse.Exists(tmpDir) {
 		if err := m.Warehouse.Delete(tmpDir, true); err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 	}
 
 	merger := newMerger(m.Warehouse, tmpDir, m.TargetFileBytes)
+	// The column encoder writes beside the merged row files, in their
+	// order; its first failure stops the seal but not the move.
+	var enc *columnar.HourEncoder
+	if m.SealColumnar && category == events.Category {
+		enc = columnar.NewHourEncoder(m.Warehouse, tmpDir, columnar.DefaultChunkRows)
+	}
+	seal := func(r []byte) {
+		if enc == nil || sealErr != nil {
+			return
+		}
+		var e events.ClientEvent
+		if err := e.Unmarshal(r); err != nil {
+			sealErr = fmt.Errorf("logmover: seal %s %s: %w", category, warehouse.HourPath(hour), err)
+			return
+		}
+		sealErr = enc.Add(&e)
+	}
+
 	srcDir := warehouse.StagingHourDir(category, hour)
 	type consumed struct {
 		fs   *hdfs.FS
@@ -161,7 +186,7 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 			continue
 		}
 		if err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 		dcHadData := false
 		for _, fi := range infos {
@@ -171,12 +196,14 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 			}
 			data, err := src.FS.ReadFile(fi.Path)
 			if err != nil {
-				return rec, err
+				return rec, nil, err
 			}
-			// Sanity check + transform + merge in one scan.
-			n := int64(0)
+			// The sanity check inflates every member, verifies its CRC-32
+			// and length trailer, and parses every frame to a clean end:
+			// only then may the file's bytes be copied as they are.
+			// Transformed records are merged as they are scanned.
+			var n, raw int64
 			err = recordio.ScanGzipFile(data, func(r []byte) error {
-				n++
 				if m.Transform != nil {
 					out, terr := m.Transform(category, r)
 					if terr != nil {
@@ -184,15 +211,25 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 					}
 					if out == nil {
 						rec.Dropped++
-						n-- // not counted as moved
 						return nil
 					}
 					r = out
+					if err := merger.append(r); err != nil {
+						return err
+					}
 				}
-				return merger.append(r)
+				n++
+				raw += int64(len(r))
+				seal(r)
+				return nil
 			})
 			if err != nil {
-				return rec, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
+				return rec, nil, fmt.Errorf("%w: %s from %s: %v", ErrCorruptFile, fi.Path, src.Datacenter, err)
+			}
+			if m.Transform == nil && n > 0 {
+				if err := merger.copyFile(data, raw); err != nil {
+					return rec, nil, err
+				}
 			}
 			rec.FilesIn++
 			rec.Records += n
@@ -206,39 +243,47 @@ func (m *Mover) moveHour(category string, hour time.Time, sealInline bool) (Audi
 	}
 	filesOut, bytesOut, err := merger.close()
 	if err != nil {
-		return rec, err
+		return rec, nil, err
 	}
 	rec.FilesOut = filesOut
 	rec.BytesOut = bytesOut
+	if enc != nil && filesOut > 0 {
+		if sealErr == nil {
+			_, sealErr = enc.Finish()
+		}
+		if sealErr != nil {
+			if err := enc.Discard(); err != nil {
+				return rec, nil, err
+			}
+		}
+	}
 
-	// The atomic slide: one rename publishes the whole hour.
+	// The atomic slide: one rename publishes the whole hour, row files and
+	// column chunks together.
 	if filesOut > 0 {
 		if err := m.Warehouse.Rename(tmpDir, destDir); err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 	} else if err := m.Warehouse.MkdirAll(destDir); err != nil {
-		return rec, err
+		return rec, nil, err
 	}
 
 	// Source files are consumed only after the hour is published.
 	for _, c := range toDelete {
 		if err := c.fs.Delete(c.path, false); err != nil && !errors.Is(err, hdfs.ErrNotFound) {
-			return rec, err
-		}
-	}
-	if sealInline && m.needsSeal(category, filesOut) {
-		if _, err := columnar.SealHour(m.Warehouse, category, hour); err != nil {
-			return rec, err
+			return rec, nil, err
 		}
 	}
 	rec.Finished = m.Clock()
 	m.audits = append(m.audits, rec)
-	return rec, nil
+	return rec, sealErr, nil
 }
 
 // MoveAllSealed scans staging for sealed category-hours and moves each one,
 // returning the audit records of successful moves. Categories are
-// discovered from the staging directory trees.
+// discovered from the staging directory trees. A seal error does not stop
+// the pass: its hour is published row-only, and the first such error is
+// returned after every hour has moved.
 func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 	type catHour struct {
 		category string
@@ -270,7 +315,7 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		}
 	}
 	var recs []AuditRecord
-	var toSeal []time.Time
+	var firstSealErr error
 	for _, ch := range order {
 		if !m.HourSealed(ch.category, ch.hour) {
 			continue
@@ -278,31 +323,16 @@ func (m *Mover) MoveAllSealed() ([]AuditRecord, error) {
 		if m.Warehouse.Exists(warehouse.HourDir(ch.category, ch.hour)) {
 			continue
 		}
-		rec, err := m.moveHour(ch.category, ch.hour, false)
+		rec, sealErr, err := m.moveHour(ch.category, ch.hour)
 		if err != nil {
 			return recs, err
 		}
 		recs = append(recs, rec)
-		if m.needsSeal(ch.category, rec.FilesOut) {
-			toSeal = append(toSeal, ch.hour)
+		if firstSealErr == nil {
+			firstSealErr = sealErr
 		}
 	}
-	// Sealing is deferred behind the moves and fanned out: the hours are
-	// already published (readable as row files), so the CPU-bound
-	// re-encode can run wide without delaying any hour's availability. A
-	// seal failure leaves its hour row-only — the reader falls back — and
-	// surfaces here after every move has landed.
-	if _, err := columnar.SealHoursParallel(m.Warehouse, events.Category, toSeal, m.SealParallelism); err != nil {
-		return recs, err
-	}
-	return recs, nil
-}
-
-// needsSeal reports whether a just-published hour should be columnar
-// sealed: the feature is on, the category actually stores ClientEvents,
-// and the hour has data.
-func (m *Mover) needsSeal(category string, filesOut int) bool {
-	return m.SealColumnar && category == events.Category && filesOut > 0
+	return recs, firstSealErr
 }
 
 // parseStagingPath extracts (category, hour) from
@@ -339,13 +369,16 @@ func splitN(s string, sep byte, n int) []string {
 	return out
 }
 
-// merger accumulates records and rolls output files at the target size.
+// merger builds the merged output files. Each is a sequence of whole gzip
+// members: validated staging files copied verbatim, and re-framed records
+// compressed into a member of its own. A file rolls once it holds at least
+// target uncompressed record bytes.
 type merger struct {
 	fs      *hdfs.FS
 	dir     string
 	target  int64
-	buf     *memBuf
-	w       *recordio.GzipWriter
+	buf     memBuf
+	member  *recordio.GzipWriter // open re-framed member, nil between members
 	raw     int64
 	seq     int
 	files   int
@@ -363,13 +396,31 @@ func newMerger(fs *hdfs.FS, dir string, target int64) *merger {
 	return &merger{fs: fs, dir: dir, target: target}
 }
 
-func (m *merger) append(rec []byte) error {
-	if m.w == nil {
-		m.buf = &memBuf{}
-		m.w = recordio.NewGzipWriter(m.buf)
-		m.raw = 0
+// copyFile merges one validated staging file holding raw uncompressed
+// record bytes. A file that fits the target is appended as it is, its
+// members becoming members of the output; a file larger than the target
+// on its own is re-framed so that it can split across outputs.
+func (m *merger) copyFile(data []byte, raw int64) error {
+	if raw > m.target {
+		return recordio.ScanGzipFile(data, m.append)
 	}
-	if err := m.w.Append(rec); err != nil {
+	if err := m.closeMember(); err != nil {
+		return err
+	}
+	m.buf.data = append(m.buf.data, data...)
+	m.raw += raw
+	if m.raw >= m.target {
+		return m.roll()
+	}
+	return nil
+}
+
+// append re-frames one record into the open member.
+func (m *merger) append(rec []byte) error {
+	if m.member == nil {
+		m.member = recordio.NewGzipWriter(&m.buf)
+	}
+	if err := m.member.Append(rec); err != nil {
 		return err
 	}
 	m.raw += int64(len(rec))
@@ -379,12 +430,21 @@ func (m *merger) append(rec []byte) error {
 	return nil
 }
 
-func (m *merger) roll() error {
-	if m.w == nil {
+func (m *merger) closeMember() error {
+	if m.member == nil {
 		return nil
 	}
-	if err := m.w.Close(); err != nil {
+	err := m.member.Close()
+	m.member = nil
+	return err
+}
+
+func (m *merger) roll() error {
+	if err := m.closeMember(); err != nil {
 		return err
+	}
+	if len(m.buf.data) == 0 {
+		return nil
 	}
 	path := fmt.Sprintf("%s/part-%05d.gz", m.dir, m.seq)
 	m.seq++
@@ -393,8 +453,8 @@ func (m *merger) roll() error {
 	}
 	m.files++
 	m.outSize += int64(len(m.buf.data))
-	m.w = nil
-	m.buf = nil
+	m.buf.data = nil
+	m.raw = 0
 	return nil
 }
 

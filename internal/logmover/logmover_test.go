@@ -1,8 +1,11 @@
 package logmover
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,7 +43,13 @@ func stageHour(t *testing.T, dcName string, n int, seal bool) *scribe.Datacenter
 	return dc
 }
 
-func warehouseMessages(t *testing.T, wh *hdfs.FS, category string, hour time.Time) []string {
+// publishedFile is one row file of a published hour.
+type publishedFile struct {
+	data []byte
+	recs []string
+}
+
+func publishedRowFiles(t *testing.T, wh *hdfs.FS, category string, hour time.Time) []publishedFile {
 	t.Helper()
 	infos, err := wh.Walk(warehouse.HourDir(category, hour))
 	if errors.Is(err, hdfs.ErrNotFound) {
@@ -49,18 +58,34 @@ func warehouseMessages(t *testing.T, wh *hdfs.FS, category string, hour time.Tim
 	if err != nil {
 		t.Fatal(err)
 	}
-	var msgs []string
+	var out []publishedFile
 	for _, fi := range infos {
+		if warehouse.IsAuxiliary(fi.Path) {
+			continue
+		}
 		data, err := wh.ReadFile(fi.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := recordio.ScanGzipFile(data, func(rec []byte) error {
-			msgs = append(msgs, string(rec))
+		f := publishedFile{data: data}
+		if err := recordio.ScanGzipFile(data, func(r []byte) error {
+			f.recs = append(f.recs, string(r))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// warehouseMessages returns the records of a published hour in row-scan
+// order.
+func warehouseMessages(t *testing.T, wh *hdfs.FS, category string, hour time.Time) []string {
+	t.Helper()
+	var msgs []string
+	for _, f := range publishedRowFiles(t, wh, category, hour) {
+		msgs = append(msgs, f.recs...)
 	}
 	return msgs
 }
@@ -196,20 +221,69 @@ func TestTargetFileSizeSplitsOutput(t *testing.T) {
 	}
 }
 
-func TestCorruptStagingFileFailsMove(t *testing.T) {
-	dc := stageHour(t, "dc1", 5, true)
-	// Plant a corrupt file beside the good ones.
-	bad := warehouse.StagingHourDir("ce", t0) + "/dc1-agg99-00000.gz"
-	if err := dc.Staging.WriteFile(bad, []byte("this is not gzip")); err != nil {
+// gzipBytes gzips raw bytes as one member, with no record framing added.
+func gzipBytes(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	wh := hdfs.New(0)
-	m := New(wh, Source{"dc1", dc.Staging})
-	if _, err := m.MoveHour("ce", t0); !errors.Is(err, ErrCorruptFile) {
-		t.Fatalf("err = %v, want ErrCorruptFile", err)
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if wh.Exists(warehouse.HourDir("ce", t0)) {
-		t.Fatal("warehouse published despite corrupt input")
+	return buf.Bytes()
+}
+
+// TestCorruptStagingFileFailsMove: a staging file is copied verbatim only
+// after it passes the full check, so each kind of damage fails the move,
+// publishes nothing, and keeps every staging file.
+func TestCorruptStagingFileFailsMove(t *testing.T) {
+	var framed bytes.Buffer
+	w := recordio.NewWriter(&framed)
+	for _, r := range []string{"first", "second", "third"} {
+		if err := w.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := gzipBytes(t, framed.Bytes())
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-8] ^= 0x01 // CRC-32 trailer
+	cases := map[string][]byte{
+		"not gzip":          []byte("this is not gzip"),
+		"trailing garbage":  append(bytes.Clone(good), "trailing garbage"...),
+		"truncated member":  good[:len(good)-6],
+		"flipped CRC-32":    flipped,
+		"torn record frame": gzipBytes(t, framed.Bytes()[:framed.Len()-2]),
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			dc := stageHour(t, "dc1", 5, true)
+			// Plant the corrupt file beside the good ones.
+			dir := warehouse.StagingHourDir("ce", t0)
+			if err := dc.Staging.WriteFile(dir+"/dc1-agg99-00000.gz", bad); err != nil {
+				t.Fatal(err)
+			}
+			before, err := dc.Staging.Walk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wh := hdfs.New(0)
+			m := New(wh, Source{"dc1", dc.Staging})
+			if _, err := m.MoveHour("ce", t0); !errors.Is(err, ErrCorruptFile) {
+				t.Fatalf("err = %v, want ErrCorruptFile", err)
+			}
+			if wh.Exists(warehouse.HourDir("ce", t0)) {
+				t.Fatal("warehouse published despite corrupt input")
+			}
+			after, err := dc.Staging.Walk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("staging files changed: %d before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package recordio frames variable-length records inside a byte stream and
 // optionally compresses the stream with gzip. It is the on-disk layout used
 // throughout the pipeline: Scribe aggregators write gzipped record streams
-// to staging HDFS, the log mover re-frames them into big warehouse files,
-// and the session store uses the same framing for materialized sequences.
+// to staging HDFS, the log mover concatenates them into big warehouse
+// files, and the session store uses the same framing for materialized
+// sequences. A gzipped stream may hold several gzip members (RFC 1952);
+// its records are those of each member in turn.
 //
 // The format is a sequence of records, each a uvarint length followed by
 // that many bytes. It supports streaming append and streaming scans without
@@ -132,7 +134,9 @@ func NewGzipReader(r io.Reader) (*Reader, error) {
 }
 
 // ScanGzipFile decodes a whole gzipped record stream held in memory,
-// invoking fn on each record.
+// invoking fn on each record. A nil return means every member inflated,
+// passed its CRC-32 and length trailer, and the records framed cleanly to
+// the end; any damage is reported as ErrCorrupt.
 func ScanGzipFile(data []byte, fn func(rec []byte) error) error {
 	r, err := NewGzipReader(bytesReader(data))
 	if err != nil {
