@@ -286,7 +286,7 @@ func BenchmarkSessionReconstructionMaterialized(b *testing.B) {
 	var st dataflow.Stats
 	for i := 0; i < b.N; i++ {
 		j := dataflow.NewJob("materialized", c.fs)
-		d, err := j.LoadSessionSequencesDay(day)
+		d, err := session.LoadSequencesDay(j, day)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func BenchmarkMapTaskReduction(b *testing.B) {
 			b.Fatal(err)
 		}
 		seqJob := dataflow.NewJob("seq", c.fs)
-		seqDS, err := seqJob.LoadSessionSequencesDay(day)
+		seqDS, err := session.LoadSequencesDay(seqJob, day)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -434,7 +434,7 @@ func e3(e *env) {
 	matJob := dataflow.NewJob("materialized", e.fs)
 	var matSessions int64
 	matT := timeIt(func() {
-		d, err := matJob.LoadSessionSequencesDay(day)
+		d, err := session.LoadSequencesDay(matJob, day)
 		if err != nil {
 			fatal(err)
 		}
@@ -469,7 +469,7 @@ func e4(e *env) {
 		fatal(err)
 	}
 	seqJob := dataflow.NewJob("seq", e.fs)
-	seqDS, err := seqJob.LoadSessionSequencesDay(day)
+	seqDS, err := session.LoadSequencesDay(seqJob, day)
 	if err != nil {
 		fatal(err)
 	}

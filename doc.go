@@ -65,7 +65,15 @@
 // the records it is already merging, into its private tmp directory,
 // so one rename publishes rows and columns together, and rollups,
 // raw-log counting, and funnel walks go columnar the moment an hour
-// lands. The merge itself deflates nothing: staging files that pass
+// lands. So do the two passes of the §4.2 daily job (session.BuildDay,
+// and catalog.Rebuild through session.HistogramDay): columnar.ScanDay
+// feeds the histogram pass the name column alone — whole events only
+// for the catalog's first few samples of each name — and the session
+// pass the five columns a session keeps, falling back to row files per
+// hour, with byte-identical outputs either way. The session-sequence
+// loader (session.SequenceFormat, session.LoadSequencesDay) lives with
+// the session package, so the generic dataflow engine imports no
+// domain package. The merge itself deflates nothing: staging files that pass
 // the inflate-and-parse check are copied as whole gzip members.
 //
 // The whole dataflow executes multi-core behind one knob:

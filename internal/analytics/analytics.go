@@ -106,7 +106,7 @@ type CountReport struct {
 // session sequences using the dataflow engine, so job costs are metered.
 func CountSequencesDay(j *dataflow.Job, day time.Time, dict *session.Dictionary, m Matcher) (CountReport, error) {
 	var rep CountReport
-	d, err := j.LoadSessionSequencesDay(day)
+	d, err := session.LoadSequencesDay(j, day)
 	if err != nil {
 		return rep, err
 	}

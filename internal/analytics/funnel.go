@@ -134,7 +134,7 @@ func (r *Report) Observe(depth int) {
 // session sequences.
 func FunnelSequencesDay(j *dataflow.Job, day time.Time, f *Funnel) (Report, error) {
 	rep := Report{Completed: make([]int64, f.NumStages())}
-	d, err := j.LoadSessionSequencesDay(day)
+	d, err := session.LoadSequencesDay(j, day)
 	if err != nil {
 		return rep, err
 	}
@@ -150,7 +150,7 @@ func FunnelSequencesDay(j *dataflow.Job, day time.Time, f *Funnel) (Report, erro
 // the number of users (as opposed to sessions) is simply a matter of
 // applying the unique operator": distinct user ids per completed stage.
 func UniqueUsersPerStage(j *dataflow.Job, day time.Time, f *Funnel) ([]int64, error) {
-	d, err := j.LoadSessionSequencesDay(day)
+	d, err := session.LoadSequencesDay(j, day)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // counting UDFs run on the surviving sequences.
 //
 // users must carry a "user_id" column; the predicate sees the joined tuple
-// with the users columns appended after SessionSchema.
+// with the users columns appended after session.SequenceSchema.
 func RateForSegment(
 	j *dataflow.Job,
 	day time.Time,
@@ -28,7 +28,7 @@ func RateForSegment(
 	segment func(dataflow.Schema, dataflow.Tuple) bool,
 ) (RateReport, error) {
 	var rep RateReport
-	seqs, err := j.LoadSessionSequencesDay(day)
+	seqs, err := session.LoadSequencesDay(j, day)
 	if err != nil {
 		return rep, err
 	}

@@ -35,18 +35,27 @@
 // merging, in its private tmp directory, so the rename that
 // publishes an hour publishes its chunks and marker with it.
 //
-// The reader side lives in format.go: EventsFormat is a pushdown-aware
+// The reader side has two entry points over one set of decoders
+// (read.go). EventsFormat (format.go) is a pushdown-aware
 // dataflow.InputFormat whose splits are chunk meta files. A pushed-down
 // Selection prunes whole chunks against the meta zone maps without
 // opening a column file, reads only the column streams the projection
 // and predicate reference, and applies the exact row-level filter to
-// what survives — so the zone map is allowed to be a superset.
+// what survives — so the zone map is allowed to be a superset. ScanDay
+// (scan.go) is the plain day scan of the §4.2 daily passes: it hands a
+// callback each event's projected columns as a Row, with no tuple boxing,
+// and Row.Event assembles the whole event when a pass wants one,
+// decoding a chunk's remaining columns at most once. Both read an hour
+// without the _col-SEALED marker from its row files. A chunk's meta row
+// count sizes every column vector, so it is checked against the chunk's
+// timestamp file before anything is allocated.
 package columnar
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -120,13 +129,16 @@ func sealedChunks(fs *hdfs.FS, dir string) (int, error) {
 		return 0, fmt.Errorf("columnar: %s: %w: bad magic %#x", path, recordio.ErrCorrupt, magic)
 	}
 	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
-		return 0, fmt.Errorf("columnar: %s: unsupported seal version %d", path, v)
+		return 0, fmt.Errorf("columnar: %s: %w: unsupported seal version %d", path, recordio.ErrCorrupt, v)
 	}
-	n := int(c.Uvarint("chunks"))
+	n := c.Uvarint("chunks")
 	if err := c.Err(); err != nil {
 		return 0, fmt.Errorf("columnar: %s: %w", path, err)
 	}
-	return n, nil
+	if n > math.MaxInt32 {
+		return 0, fmt.Errorf("columnar: %s: %w: %d chunks", path, recordio.ErrCorrupt, n)
+	}
+	return int(n), nil
 }
 
 // removeTornSeal deletes the leftover _col- files of a seal that died

@@ -34,7 +34,7 @@ var testNames = []string{
 
 // buildDay writes a deterministic three-hour day of row files (small part
 // files so every hour has several) and returns the fs and event count.
-func buildDay(t *testing.T, seed int64) (*hdfs.FS, int) {
+func buildDay(t testing.TB, seed int64) (*hdfs.FS, int) {
 	t.Helper()
 	fs := hdfs.New(0)
 	w := warehouse.NewWriter(fs, events.Category)

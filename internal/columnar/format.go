@@ -7,7 +7,6 @@ import (
 	"unilog/internal/dataflow"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
-	"unilog/internal/warehouse"
 )
 
 // EventsFormat is the columnar client-events InputFormat. The zero value
@@ -66,14 +65,16 @@ func (f EventsFormat) Pushdown(sel dataflow.Selection) (dataflow.InputFormat, da
 // carries the _col-SEALED completion marker, row files when it does not.
 // The sealed path enumerates chunks from the marker's count rather than
 // by listing, so a chunk file that went missing after the seal surfaces
-// as an error instead of silently shrinking the hour.
+// as an error instead of silently shrinking the hour — and a count the
+// hour cannot back stops at its first missing meta file instead of
+// sizing an allocation.
 func (f EventsFormat) Splits(fs *hdfs.FS, dir string) ([]dataflow.Split, error) {
 	if HasColumnar(fs, dir) {
 		n, err := sealedChunks(fs, dir)
 		if err != nil {
 			return nil, err
 		}
-		splits := make([]dataflow.Split, 0, n)
+		var splits []dataflow.Split
 		for i := 0; i < n; i++ {
 			fi, err := fs.Stat(metaPath(dir, i))
 			if err != nil {
@@ -83,18 +84,7 @@ func (f EventsFormat) Splits(fs *hdfs.FS, dir string) ([]dataflow.Split, error) 
 		}
 		return splits, nil
 	}
-	infos, err := fs.Walk(dir)
-	if err != nil {
-		return nil, err
-	}
-	var splits []dataflow.Split
-	for _, fi := range infos {
-		if warehouse.IsAuxiliary(fi.Path) {
-			continue
-		}
-		splits = append(splits, dataflow.Split{Path: fi.Path, Size: fi.Size})
-	}
-	return splits, nil
+	return dataflow.WalkSplits(fs, dir)
 }
 
 // ReadSplit implements dataflow.InputFormat, dispatching on the split
@@ -185,9 +175,8 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	if f.sel.TimeMin != 0 || f.sel.TimeMax != 0 {
 		need["timestamp"] = true
 	}
-	base := strings.TrimSuffix(metaFile, ".meta")
-	cc, err := readColumns(fs, base, m, need)
-	if err != nil {
+	var cc chunkColumns
+	if err := cc.read(fs, strings.TrimSuffix(metaFile, ".meta"), m, need); err != nil {
 		return err
 	}
 	tmRowsRead.Add(int64(m.rows))

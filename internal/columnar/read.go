@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
@@ -16,7 +18,6 @@ type chunkMeta struct {
 	rows             int
 	minTs, maxTs     int64
 	minName, maxName string
-	cols             []string
 }
 
 // records reads every CRC record of a column or meta file, copied out of
@@ -55,7 +56,11 @@ func oneRecord(fs *hdfs.FS, path string) ([]byte, error) {
 	return recs[0], nil
 }
 
-// readMeta decodes a chunk's zone-map file.
+// readMeta decodes a chunk's zone-map file. The row count sizes every
+// column vector of the chunk, so it is checked before anything trusts it:
+// a chunk holds at least one row, and its timestamp column spends at
+// least one byte per row, so a count beyond that file's size is a lie the
+// chunk cannot back — rejected here rather than allocated.
 func readMeta(fs *hdfs.FS, path string) (chunkMeta, error) {
 	rec, err := oneRecord(fs, path)
 	if err != nil {
@@ -66,21 +71,33 @@ func readMeta(fs *hdfs.FS, path string) (chunkMeta, error) {
 		return chunkMeta{}, fmt.Errorf("columnar: %s: %w: bad magic %#x", path, recordio.ErrCorrupt, magic)
 	}
 	if v := c.Uvarint("version"); c.Ok() && v != metaVersion {
-		return chunkMeta{}, fmt.Errorf("columnar: %s: unsupported chunk version %d", path, v)
+		return chunkMeta{}, fmt.Errorf("columnar: %s: %w: unsupported chunk version %d", path, recordio.ErrCorrupt, v)
 	}
 	var m chunkMeta
-	m.rows = int(c.Uvarint("rows"))
+	rows := c.Uvarint("rows")
 	m.minTs = c.Varint("min_ts")
 	m.maxTs = c.Varint("max_ts")
 	m.minName = c.String("min_name")
 	m.maxName = c.String("max_name")
 	n := c.Count("columns")
+	cols := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		m.cols = append(m.cols, c.String("column"))
+		cols = append(cols, c.String("column"))
 	}
 	if err := c.Err(); err != nil {
 		return chunkMeta{}, fmt.Errorf("columnar: %s: %w", path, err)
 	}
+	if !slices.Equal(cols, chunkCols) {
+		return chunkMeta{}, fmt.Errorf("columnar: %s: %w: columns %q, want %q", path, recordio.ErrCorrupt, cols, chunkCols)
+	}
+	ts, err := fs.Stat(strings.TrimSuffix(path, ".meta") + ".timestamp")
+	if err != nil {
+		return chunkMeta{}, fmt.Errorf("columnar: %s: %w", path, err)
+	}
+	if rows < 1 || rows > uint64(ts.Size) {
+		return chunkMeta{}, fmt.Errorf("columnar: %s: %w: %d rows in a chunk whose timestamp column has %d bytes", path, recordio.ErrCorrupt, rows, ts.Size)
+	}
+	m.rows = int(rows)
 	return m, nil
 }
 
@@ -218,11 +235,10 @@ type chunkColumns struct {
 	details   []map[string]string
 }
 
-// readColumns decodes the needed column files of one chunk.
-func readColumns(fs *hdfs.FS, base string, m chunkMeta, need map[string]bool) (*chunkColumns, error) {
-	cc := &chunkColumns{}
+// read decodes the needed column files of one chunk into cc.
+func (cc *chunkColumns) read(fs *hdfs.FS, base string, m chunkMeta, need map[string]bool) error {
 	var err error
-	for _, col := range m.cols {
+	for _, col := range chunkCols {
 		if !need[col] {
 			continue
 		}
@@ -244,14 +260,12 @@ func readColumns(fs *hdfs.FS, base string, m chunkMeta, need map[string]bool) (*
 			cc.loggedIn, err = decodeRLE(fs, path, m.rows)
 		case "details":
 			cc.details, err = decodeDetails(fs, path, m.rows)
-		default:
-			err = fmt.Errorf("columnar: %s: unknown column %q", base, col)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return cc, nil
+	return nil
 }
 
 // value renders one column of one row as its dataflow tuple value —
@@ -276,4 +290,23 @@ func (cc *chunkColumns) value(col string, row int) any {
 		return cc.details[row]
 	}
 	panic("columnar: value of unknown column " + col)
+}
+
+// event reassembles one row as the client event the row files hold; every
+// column but the derived logged_in must have been read. A name that does
+// not parse passed the checksum yet is not a name, so it is corruption.
+func (cc *chunkColumns) event(base string, row int) (*events.ClientEvent, error) {
+	name, err := events.ParseName(cc.name[row])
+	if err != nil {
+		return nil, fmt.Errorf("columnar: %s.name: %w: %v", base, recordio.ErrCorrupt, err)
+	}
+	return &events.ClientEvent{
+		Initiator: events.Initiator(cc.initiator[row]),
+		Name:      name,
+		UserID:    cc.userID[row],
+		SessionID: cc.sessionID[row],
+		IP:        cc.ip[row],
+		Timestamp: cc.timestamp[row],
+		Details:   cc.details[row],
+	}, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
-	"unilog/internal/session"
 	"unilog/internal/warehouse"
 )
 
@@ -282,43 +281,6 @@ func TestFlatMap(t *testing.T) {
 	})
 	if n, err := out.Count(); err != nil || n != 5 {
 		t.Fatalf("flatmap = %d rows, %v", n, err)
-	}
-}
-
-// TestMapTaskReduction measures the E4 effect: loading session sequences
-// spawns far fewer map tasks and reads far fewer bytes than the raw logs.
-func TestMapTaskReduction(t *testing.T) {
-	fs := hdfs.New(0)
-	populate(t, fs)
-	if _, _, _, err := session.BuildDay(fs, day, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	rawJob := NewJob("raw", fs)
-	raw8, err := rawJob.LoadClientEventsDay(day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw8.Count(); err != nil {
-		t.Fatal(err)
-	}
-	seqJob := NewJob("seq", fs)
-	seqs, err := seqJob.LoadSessionSequencesDay(day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := seqs.Count(); err != nil || n != 8 {
-		t.Fatalf("sessions = %d, %v", n, err)
-	}
-	raw, seq := rawJob.Stats(), seqJob.Stats()
-	if seq.MapTasks >= raw.MapTasks {
-		t.Fatalf("map tasks: seq %d >= raw %d", seq.MapTasks, raw.MapTasks)
-	}
-	if seq.BytesRead >= raw.BytesRead {
-		t.Fatalf("bytes: seq %d >= raw %d", seq.BytesRead, raw.BytesRead)
-	}
-	if raw.ClusterSeconds() <= seq.ClusterSeconds() {
-		t.Fatalf("cluster seconds: raw %.1f <= seq %.1f", raw.ClusterSeconds(), seq.ClusterSeconds())
 	}
 }
 

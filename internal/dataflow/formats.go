@@ -6,14 +6,13 @@ import (
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
-	"unilog/internal/session"
-	"unilog/internal/thrift"
 	"unilog/internal/warehouse"
 )
 
-// walkSplits lists every data file under dir as one split, skipping seal
-// markers and index files that live beside the data.
-func walkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
+// WalkSplits lists every data file under dir as one split, skipping seal
+// markers and index files that live beside the data — the Splits of every
+// format whose files are whole records streams.
+func WalkSplits(fs *hdfs.FS, dir string) ([]Split, error) {
 	infos, err := fs.Walk(dir)
 	if err != nil {
 		return nil, err
@@ -40,7 +39,7 @@ func (ClientEventFormat) Schema() Schema { return ClientEventSchema }
 
 // Splits implements InputFormat.
 func (ClientEventFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
-	return walkSplits(fs, dir)
+	return WalkSplits(fs, dir)
 }
 
 // ReadSplit implements InputFormat.
@@ -87,42 +86,6 @@ func (j *Job) LoadClientEventsDay(day time.Time) (*Dataset, error) {
 	return j.LoadDirs(HourDirs(j.FS, events.Category, day), ClientEventFormat{})
 }
 
-// SessionSequenceFormat decodes materialized session-sequence partitions —
-// the paper's SessionSequencesLoader (§5.2).
-type SessionSequenceFormat struct{}
-
-// SessionSchema is the schema produced by SessionSequenceFormat: the §4.2
-// materialized relation.
-var SessionSchema = Schema{"user_id", "session_id", "ip", "sequence", "duration", "start"}
-
-// Schema implements InputFormat.
-func (SessionSequenceFormat) Schema() Schema { return SessionSchema }
-
-// Splits implements InputFormat.
-func (SessionSequenceFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
-	return walkSplits(fs, dir)
-}
-
-// ReadSplit implements InputFormat.
-func (SessionSequenceFormat) ReadSplit(fs *hdfs.FS, s Split, emit func(Tuple) error) error {
-	data, err := fs.ReadFile(s.Path)
-	if err != nil {
-		return err
-	}
-	return recordio.ScanGzipFile(data, func(rec []byte) error {
-		var r session.Record
-		if err := thrift.DecodeCompact(rec, &r); err != nil {
-			return err
-		}
-		return emit(Tuple{r.UserID, r.SessionID, r.IP, r.Sequence, int64(r.Duration), r.Start})
-	})
-}
-
-// LoadSessionSequencesDay loads one day of materialized session sequences.
-func (j *Job) LoadSessionSequencesDay(day time.Time) (*Dataset, error) {
-	return j.Load(warehouse.SessionDayDir(day), SessionSequenceFormat{})
-}
-
 // RawRecordFormat yields each framed record as a single-column tuple of raw
 // bytes; legacy-log decoders build on it.
 type RawRecordFormat struct {
@@ -142,7 +105,7 @@ func (f RawRecordFormat) Schema() Schema {
 
 // Splits implements InputFormat.
 func (f RawRecordFormat) Splits(fs *hdfs.FS, dir string) ([]Split, error) {
-	return walkSplits(fs, dir)
+	return WalkSplits(fs, dir)
 }
 
 // ReadSplit implements InputFormat.

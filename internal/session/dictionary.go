@@ -13,7 +13,13 @@
 //
 // exactly as in §4.2. Construction is the paper's two-pass daily job: pass
 // one computes the event histogram (and samples for the catalog) and builds
-// the dictionary; pass two reconstructs sessions and encodes them.
+// the dictionary; pass two reconstructs sessions and encodes them. Neither
+// pass needs most of an event, so both read the column chunks of sealed
+// warehouse hours (columnar.ScanDay): pass one the name column, assembling
+// whole events only for the first few samples of each name, pass two the
+// five columns a session keeps. Hours not sealed yet, or whose seal died
+// mid-hour, are read from their row files; the outputs are the same.
+// SequenceFormat loads the materialized relation back into dataflow jobs.
 package session
 
 import (

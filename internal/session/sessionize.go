@@ -123,7 +123,7 @@ type pendingEvent struct {
 }
 
 // Builder reconstructs sessions from a stream of client events. Feed every
-// event of the day with Add, then call Finish.
+// event of the day with Add or AddFields, then call Finish.
 //
 // This is the materialization of the group-by the paper wants to avoid
 // doing per-query: "essentially, a large group-by across potentially
@@ -150,8 +150,14 @@ func (b *Builder) SetGap(gap time.Duration) { b.gap = gap }
 
 // Add feeds one client event.
 func (b *Builder) Add(e *events.ClientEvent) {
-	k := sessionKey{userID: e.UserID, sessionID: e.SessionID}
-	b.groups[k] = append(b.groups[k], pendingEvent{name: e.Name.String(), ts: e.Timestamp, ip: e.IP})
+	b.AddFields(e.UserID, e.SessionID, e.IP, e.Name.String(), e.Timestamp)
+}
+
+// AddFields feeds one event as the five fields a session is built from,
+// so a columnar pass need not assemble whole events.
+func (b *Builder) AddFields(userID int64, sessionID, ip, name string, ts int64) {
+	k := sessionKey{userID: userID, sessionID: sessionID}
+	b.groups[k] = append(b.groups[k], pendingEvent{name: name, ts: ts, ip: ip})
 }
 
 // Finish orders each group by timestamp, splits it on inactivity gaps, and

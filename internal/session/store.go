@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"unilog/internal/columnar"
 	"unilog/internal/events"
 	"unilog/internal/hdfs"
 	"unilog/internal/recordio"
@@ -36,19 +37,36 @@ func NewHistogram(sampleLimit int) *Histogram {
 // Observe counts one event and retains it as a sample if quota remains.
 func (h *Histogram) Observe(e *events.ClientEvent) {
 	name := e.Name.String()
-	h.Counts[name]++
-	h.Events++
-	if h.SampleLimit > 0 && len(h.Samples[name]) < h.SampleLimit {
+	if h.count(name) {
 		h.Samples[name] = append(h.Samples[name], e.Marshal())
 	}
 }
 
+// count counts one event of the named type and reports whether the type's
+// sample quota has room for it.
+func (h *Histogram) count(name string) bool {
+	h.Counts[name]++
+	h.Events++
+	return h.SampleLimit > 0 && len(h.Samples[name]) < h.SampleLimit
+}
+
 // HistogramDay scans one day of client events in the warehouse and returns
 // the event histogram — the first pass of the daily session-sequence job.
+// The pass reads the name column of sealed hours, and row files for hours
+// not sealed yet (columnar.ScanDay). Only the first SampleLimit events of
+// each name are assembled whole, so only the chunks holding a sample
+// decode their other columns.
 func HistogramDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Histogram, error) {
 	h := NewHistogram(sampleLimit)
-	err := warehouse.ScanDay(fs, events.Category, day, func(e *events.ClientEvent) error {
-		h.Observe(e)
+	err := columnar.ScanDay(fs, events.Category, day, []string{"name"}, func(r *columnar.Row) error {
+		if !h.count(r.Name) {
+			return nil
+		}
+		e, err := r.Event()
+		if err != nil {
+			return err
+		}
+		h.Samples[r.Name] = append(h.Samples[r.Name], e.Marshal())
 		return nil
 	})
 	if err != nil {
@@ -174,10 +192,18 @@ func (s DayStats) Ratio() float64 {
 	return float64(s.RawBytes) / float64(s.SeqBytes)
 }
 
+// sessionCols are the columns of the session pass: everything Builder
+// keeps of an event.
+var sessionCols = []string{"name", "user_id", "session_id", "ip", "timestamp"}
+
 // BuildDay runs the full two-pass daily job (§4.2): histogram + dictionary
 // construction, then session reconstruction and materialization. The
 // dictionary is persisted to its known HDFS location; the records land in
-// the day's session-sequence partition.
+// the day's session-sequence partition. Both passes read the column chunks
+// of sealed hours — the histogram the name column (see HistogramDay), the
+// session pass the five columns a session keeps — and fall back to the
+// row files of hours that are not sealed; the outputs are the same either
+// way.
 func BuildDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Dictionary, *Histogram, DayStats, error) {
 	var stats DayStats
 	// Pass 1: histogram and dictionary.
@@ -194,8 +220,8 @@ func BuildDay(fs *hdfs.FS, day time.Time, sampleLimit int) (*Dictionary, *Histog
 	}
 	// Pass 2: reconstruct and materialize sessions.
 	b := NewBuilder(dict)
-	err = warehouse.ScanDay(fs, events.Category, day, func(e *events.ClientEvent) error {
-		b.Add(e)
+	err = columnar.ScanDay(fs, events.Category, day, sessionCols, func(r *columnar.Row) error {
+		b.AddFields(r.UserID, r.SessionID, r.IP, r.Name, r.Timestamp)
 		return nil
 	})
 	if err != nil {
