@@ -54,7 +54,9 @@
 // (columnar.EventsFormat) absorbs the selection, pruning whole chunks
 // whose zone maps cannot intersect a head-anchored name prefix or the
 // time window (a pruned chunk costs one meta record, never a column
-// byte) and decoding only the projected columns' files; any other
+// byte), decoding only the projected columns' files, and deciding the
+// name pattern once per entry of each surviving chunk's name
+// dictionary rather than once per row; any other
 // format, and any predicate that is an arbitrary Go closure rather
 // than a Selection, falls through to the row files with the same
 // filter and projection applied tuple-side — identical relations

@@ -40,8 +40,10 @@
 // dataflow.InputFormat whose splits are chunk meta files. A pushed-down
 // Selection prunes whole chunks against the meta zone maps without
 // opening a column file, reads only the column streams the projection
-// and predicate reference, and applies the exact row-level filter to
-// what survives — so the zone map is allowed to be a superset. ScanDay
+// and predicate reference, and applies the exact filter to what
+// survives — so the zone map is allowed to be a superset. The exact name
+// filter is evaluated once per dictionary entry of each surviving chunk,
+// and each row looks its entry's verdict up by ID. ScanDay
 // (scan.go) is the plain day scan of the §4.2 daily passes: it hands a
 // callback each event's projected columns as a Row, with no tuple boxing,
 // and Row.Event assembles the whole event when a pass wants one,

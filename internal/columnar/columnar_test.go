@@ -97,11 +97,16 @@ func TestSealIdempotent(t *testing.T) {
 
 // TestColumnarMatchesRowScan is the property test: for a sweep of
 // predicate/projection selections, the columnar scan must produce exactly
-// the relation the row scan produces — same tuples, same order.
+// the relation the row scan produces — same tuples, same order — on a
+// fully sealed day and on a hybrid one whose later hours are still row
+// files, which EventsFormat reads through its row-file fallback.
 func TestColumnarMatchesRowScan(t *testing.T) {
-	fs, _ := buildDay(t, 2)
-	sealTestDay(t, fs, 32)
-	dirs := dataflow.HourDirs(fs, events.Category, testDay)
+	sealed, _ := buildDay(t, 2)
+	sealTestDay(t, sealed, 32)
+	hybrid, _ := buildDay(t, 2)
+	if _, err := SealHourChunks(hybrid, events.Category, testDay, 32); err != nil {
+		t.Fatal(err)
+	}
 
 	h1 := testDay.Add(1 * time.Hour).UnixMilli()
 	h2 := testDay.Add(2 * time.Hour).UnixMilli()
@@ -113,39 +118,133 @@ func TestColumnarMatchesRowScan(t *testing.T) {
 		{NamePattern: "*:click"}, // tail-anchored: no name pruning possible
 		{NamePattern: "web:*:*:stream"},
 		{NamePattern: "iphone:profile:header:bio:link:click"},
+		{NamePattern: "*"},
+		{NamePattern: "*:home:*:*:*:*"}, // six parts: a leading wildcard, not tail-anchored
+		{NamePattern: "*:tweet:impression"},
 		{TimeMin: h1, TimeMax: h2},
 		{TimeMin: h2},
 		{TimeMax: h1},
 		{NamePattern: "web:home:*", TimeMin: h1, Columns: []string{"name", "ip", "logged_in"}},
 		{NamePattern: "android:*", TimeMin: h1, TimeMax: h2, Columns: []string{"details", "timestamp"}},
 	}
-	for i, sel := range sels {
-		rowJob := dataflow.NewJob(fmt.Sprintf("row-%d", i), fs)
-		rowDS, err := rowJob.LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sel)
+	for layout, fs := range map[string]*hdfs.FS{"sealed": sealed, "hybrid": hybrid} {
+		dirs := dataflow.HourDirs(fs, events.Category, testDay)
+		for i, sel := range sels {
+			rowJob := dataflow.NewJob(fmt.Sprintf("row-%d", i), fs)
+			rowDS, err := rowJob.LoadDirsSelective(dirs, dataflow.ClientEventFormat{}, sel)
+			if err != nil {
+				t.Fatalf("%s sel %d: row load: %v", layout, i, err)
+			}
+			want, err := rowDS.Tuples()
+			if err != nil {
+				t.Fatalf("%s sel %d: row scan: %v", layout, i, err)
+			}
+			colJob := dataflow.NewJob(fmt.Sprintf("col-%d", i), fs)
+			colDS, err := colJob.LoadDirsSelective(dirs, EventsFormat{}, sel)
+			if err != nil {
+				t.Fatalf("%s sel %d: columnar load: %v", layout, i, err)
+			}
+			got, err := colDS.Tuples()
+			if err != nil {
+				t.Fatalf("%s sel %d: columnar scan: %v", layout, i, err)
+			}
+			if !reflect.DeepEqual(colDS.Schema(), rowDS.Schema()) {
+				t.Fatalf("%s sel %d: schema mismatch: row %v, columnar %v", layout, i, rowDS.Schema(), colDS.Schema())
+			}
+			if len(want) == 0 && i < 11 {
+				t.Fatalf("%s sel %d: row baseline matched nothing — selection too narrow to test anything", layout, i)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s sel %d (%+v): columnar relation differs from row scan (%d vs %d tuples)", layout, i, sel, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestPushdownSkipsInvalidDictionaryNames seals a chunk whose name
+// dictionary holds strings no event could carry: an uppercase component,
+// five components, an empty action. The pushed-down filter decides each
+// dictionary entry once, and must keep exactly the rows a per-row
+// MatchesString keeps; a scan without a pattern still emits every row.
+func TestPushdownSkipsInvalidDictionaryNames(t *testing.T) {
+	valid := []string{
+		"web:home:timeline:stream:tweet:click",
+		"web:home:timeline:stream:tweet:impression",
+		"web:search:timeline:stream:tweet:click",
+	}
+	invalid := []string{
+		"web:Home:timeline:stream:tweet:click",
+		"web:home:timeline:tweet:click",
+		"web:home:timeline:stream:tweet:",
+	}
+	names := make([]string, 60)
+	evs := make([]events.ClientEvent, len(names))
+	for i := range names {
+		if i%3 == 0 {
+			names[i] = invalid[i/3%len(invalid)]
+		} else {
+			names[i] = valid[i%len(valid)]
+		}
+		evs[i].Timestamp = testDay.UnixMilli() + int64(i)*1000
+	}
+	fs := hdfs.New(0)
+	dir := warehouse.HourDir(events.Category, testDay)
+	if err := writeChunk(fs, dir, 0, evs); err != nil {
+		t.Fatal(err)
+	}
+	// writeChunk names rows by their EventName; swap in a name column
+	// and zone map over the strings above.
+	base := chunkBase(dir, 0)
+	files := map[string][]byte{
+		base + ".name":  encodeDict(len(names), func(i int) string { return names[i] }),
+		base + ".meta":  encodeMeta(evs, names),
+		sealedPath(dir): encodeSealed(1),
+	}
+	for path, data := range files {
+		if fs.Exists(path) {
+			if err := fs.Delete(path, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(sel dataflow.Selection) []dataflow.Tuple {
+		t.Helper()
+		d, err := dataflow.NewJob("dict", fs).LoadDirsSelective([]string{dir}, EventsFormat{}, sel)
 		if err != nil {
-			t.Fatalf("sel %d: row load: %v", i, err)
+			t.Fatal(err)
 		}
-		want, err := rowDS.Tuples()
+		got, err := d.Tuples()
 		if err != nil {
-			t.Fatalf("sel %d: row scan: %v", i, err)
+			t.Fatal(err)
 		}
-		colJob := dataflow.NewJob(fmt.Sprintf("col-%d", i), fs)
-		colDS, err := colJob.LoadDirsSelective(dirs, EventsFormat{}, sel)
-		if err != nil {
-			t.Fatalf("sel %d: columnar load: %v", i, err)
+		return got
+	}
+	cols := []string{"name", "timestamp"}
+	for _, pattern := range []string{"*", "web:*:timeline:*"} {
+		pat := events.MustParsePattern(pattern)
+		var want []dataflow.Tuple
+		for i, name := range names {
+			if pat.MatchesString(name) {
+				want = append(want, dataflow.Tuple{name, evs[i].Timestamp})
+			}
 		}
-		got, err := colDS.Tuples()
-		if err != nil {
-			t.Fatalf("sel %d: columnar scan: %v", i, err)
+		if len(want) == 0 || len(want) == len(names) {
+			t.Fatalf("pattern %q keeps %d of %d rows: the chunk tests nothing", pattern, len(want), len(names))
 		}
-		if !reflect.DeepEqual(colDS.Schema(), rowDS.Schema()) {
-			t.Fatalf("sel %d: schema mismatch: row %v, columnar %v", i, rowDS.Schema(), colDS.Schema())
+		if got := scan(dataflow.Selection{NamePattern: pattern, Columns: cols}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %q: pushed-down scan emitted %v, want %v", pattern, got, want)
 		}
-		if len(want) == 0 && i < 8 {
-			t.Fatalf("sel %d: row baseline matched nothing — selection too narrow to test anything", i)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sel %d (%+v): columnar relation differs from row scan (%d vs %d tuples)", i, sel, len(got), len(want))
+	}
+	got := scan(dataflow.Selection{Columns: cols})
+	if len(got) != len(names) {
+		t.Fatalf("full scan emitted %d rows, want %d", len(got), len(names))
+	}
+	for i, tup := range got {
+		if tup[0] != names[i] {
+			t.Fatalf("full scan row %d: name %v, want %q", i, tup[0], names[i])
 		}
 	}
 }

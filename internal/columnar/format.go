@@ -13,7 +13,8 @@ import (
 // is a full scan with the row-format schema; Pushdown specializes it to a
 // Selection, after which splits whose zone maps exclude the predicate are
 // pruned without opening a column file and only the referenced column
-// streams are decoded.
+// streams are decoded. The exact name filter is evaluated once per
+// dictionary entry of each surviving chunk, not once per row.
 //
 // The format is hybrid per directory: an hour that has been sealed into
 // chunks scans the chunk meta files, an hour that has not falls back to
@@ -37,8 +38,8 @@ func (f EventsFormat) Schema() dataflow.Schema {
 }
 
 // Pushdown implements dataflow.PushdownFormat: the whole selection is
-// absorbed into the scan — chunk pruning plus an exact row-level residual
-// filter inside ReadSplit — so the planner has nothing left to apply.
+// absorbed into the scan — chunk pruning plus the exact filter inside
+// ReadSplit — so the planner has nothing left to apply.
 // A selection the format cannot honor (a malformed pattern, a column
 // outside the row schema) returns ok == false and the planner falls
 // through to the row path, where the same selection fails or filters
@@ -138,7 +139,7 @@ func prefixSuccessor(prefix string) string {
 	return ""
 }
 
-// match applies the exact row-level predicate.
+// match applies the exact row-level predicate to a row-file event.
 func (f EventsFormat) match(name string, ts int64) bool {
 	if f.sel.TimeMin != 0 && ts < f.sel.TimeMin {
 		return false
@@ -154,6 +155,9 @@ func (f EventsFormat) match(name string, ts int64) bool {
 
 // readChunk scans one column chunk: prune on the zone map, decode only
 // the referenced column streams, filter exactly, emit projected tuples.
+// The exact name filter is evaluated once per dictionary entry of each
+// surviving chunk; rows look their entry's verdict up by dictionary ID.
+// An entry that does not parse as a name never matches.
 func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow.Tuple) error) error {
 	m, err := readMeta(fs, metaFile)
 	if err != nil {
@@ -172,7 +176,8 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 	if f.sel.NamePattern != "" {
 		need["name"] = true
 	}
-	if f.sel.TimeMin != 0 || f.sel.TimeMax != 0 {
+	tmin, tmax := f.sel.TimeMin, f.sel.TimeMax
+	if tmin != 0 || tmax != 0 {
 		need["timestamp"] = true
 	}
 	var cc chunkColumns
@@ -180,20 +185,19 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 		return err
 	}
 	tmRowsRead.Add(int64(m.rows))
-	filtered := f.sel.NamePattern != "" || f.sel.TimeMin != 0 || f.sel.TimeMax != 0
+	var keep []bool
+	if f.sel.NamePattern != "" {
+		keep = make([]bool, len(cc.name.dict))
+		for i, name := range cc.name.dict {
+			keep[i] = f.pat.MatchesString(name)
+		}
+	}
 	for row := 0; row < m.rows; row++ {
-		if filtered {
-			var name string
-			var ts int64
-			if f.sel.NamePattern != "" {
-				name = cc.name[row]
-			}
-			if need["timestamp"] {
-				ts = cc.timestamp[row]
-			}
-			if !f.match(name, ts) {
-				continue
-			}
+		if keep != nil && !keep[cc.name.ids[row]] {
+			continue
+		}
+		if tmin != 0 && cc.timestamp[row] < tmin || tmax != 0 && cc.timestamp[row] >= tmax {
+			continue
 		}
 		t := make(dataflow.Tuple, len(out))
 		for i, col := range out {
@@ -209,7 +213,13 @@ func (f EventsFormat) readChunk(fs *hdfs.FS, metaFile string, emit func(dataflow
 // readRowFile scans one unsealed row file, applying the same selection
 // the chunk path applies, so both split kinds emit identical relations.
 func (f EventsFormat) readRowFile(fs *hdfs.FS, s dataflow.Split, emit func(dataflow.Tuple) error) error {
-	out := f.outCols()
+	var idx []int // schema index of each projected column; nil = all
+	if f.sel.Columns != nil {
+		idx = make([]int, len(f.sel.Columns))
+		for i, col := range f.sel.Columns {
+			idx[i], _ = dataflow.ClientEventSchema.Index(col) // Pushdown checked every column
+		}
+	}
 	full := dataflow.ClientEventFormat{}
 	return full.ReadSplit(fs, s, func(t dataflow.Tuple) error {
 		name, _ := t[1].(string)
@@ -217,12 +227,11 @@ func (f EventsFormat) readRowFile(fs *hdfs.FS, s dataflow.Split, emit func(dataf
 		if !f.match(name, ts) {
 			return nil
 		}
-		if f.sel.Columns == nil {
+		if idx == nil {
 			return emit(t)
 		}
-		p := make(dataflow.Tuple, len(out))
-		for i, col := range out {
-			j, _ := dataflow.ClientEventSchema.Index(col)
+		p := make(dataflow.Tuple, len(idx))
+		for i, j := range idx {
 			p[i] = t[j]
 		}
 		return emit(p)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
@@ -101,37 +102,51 @@ func readMeta(fs *hdfs.FS, path string) (chunkMeta, error) {
 	return m, nil
 }
 
-// decodeDict decodes a dictionary column file into one string per row.
-func decodeDict(fs *hdfs.FS, path string, rows int) ([]string, error) {
+// dictColumn is a decoded dictionary column: the chunk's sorted distinct
+// values and one dictionary ID per row. A filter on the column can be
+// decided once per entry and looked up per row.
+type dictColumn struct {
+	dict []string
+	ids  []uint32
+}
+
+// at returns the value of one row.
+func (d dictColumn) at(row int) string { return d.dict[d.ids[row]] }
+
+// decodeDict decodes a dictionary column file.
+func decodeDict(fs *hdfs.FS, path string, rows int) (dictColumn, error) {
 	recs, err := records(fs, path)
 	if err != nil {
-		return nil, err
+		return dictColumn{}, err
 	}
 	if len(recs) != 2 {
-		return nil, fmt.Errorf("columnar: %s: %w: want 2 records, have %d", path, recordio.ErrCorrupt, len(recs))
+		return dictColumn{}, fmt.Errorf("columnar: %s: %w: want 2 records, have %d", path, recordio.ErrCorrupt, len(recs))
 	}
 	dc := recordio.NewCursor(recs[0])
 	n := dc.Count("dict size")
+	if uint64(n) > math.MaxUint32 {
+		return dictColumn{}, fmt.Errorf("columnar: %s: %w: %d dict entries overflow the id space", path, recordio.ErrCorrupt, n)
+	}
 	dict := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		dict = append(dict, dc.String("dict entry"))
 	}
 	if err := dc.Err(); err != nil {
-		return nil, fmt.Errorf("columnar: %s: %w", path, err)
+		return dictColumn{}, fmt.Errorf("columnar: %s: %w", path, err)
 	}
 	ic := recordio.NewCursor(recs[1])
-	out := make([]string, rows)
-	for i := range out {
+	ids := make([]uint32, rows)
+	for i := range ids {
 		id := ic.Uvarint("dict id")
 		if !ic.Ok() || id >= uint64(len(dict)) {
-			return nil, fmt.Errorf("columnar: %s: %w: dict id out of range", path, recordio.ErrCorrupt)
+			return dictColumn{}, fmt.Errorf("columnar: %s: %w: dict id out of range", path, recordio.ErrCorrupt)
 		}
-		out[i] = dict[id]
+		ids[i] = uint32(id)
 	}
 	if !ic.Empty() {
-		return nil, fmt.Errorf("columnar: %s: %w: %d trailing bytes after %d rows", path, recordio.ErrCorrupt, ic.Remaining(), rows)
+		return dictColumn{}, fmt.Errorf("columnar: %s: %w: %d trailing bytes after %d rows", path, recordio.ErrCorrupt, ic.Remaining(), rows)
 	}
-	return out, nil
+	return dictColumn{dict: dict, ids: ids}, nil
 }
 
 // decodeVarints decodes a zig-zag varint column into one int64 per row;
@@ -226,10 +241,10 @@ func decodeDetails(fs *hdfs.FS, path string, rows int) ([]map[string]string, err
 // stay unread.
 type chunkColumns struct {
 	initiator []byte
-	name      []string
+	name      dictColumn
 	userID    []int64
-	sessionID []string
-	ip        []string
+	sessionID dictColumn
+	ip        dictColumn
 	timestamp []int64
 	loggedIn  []byte
 	details   []map[string]string
@@ -275,13 +290,13 @@ func (cc *chunkColumns) value(col string, row int) any {
 	case "initiator":
 		return events.Initiator(cc.initiator[row]).String()
 	case "name":
-		return cc.name[row]
+		return cc.name.at(row)
 	case "user_id":
 		return cc.userID[row]
 	case "session_id":
-		return cc.sessionID[row]
+		return cc.sessionID.at(row)
 	case "ip":
-		return cc.ip[row]
+		return cc.ip.at(row)
 	case "timestamp":
 		return cc.timestamp[row]
 	case "logged_in":
@@ -296,7 +311,7 @@ func (cc *chunkColumns) value(col string, row int) any {
 // column but the derived logged_in must have been read. A name that does
 // not parse passed the checksum yet is not a name, so it is corruption.
 func (cc *chunkColumns) event(base string, row int) (*events.ClientEvent, error) {
-	name, err := events.ParseName(cc.name[row])
+	name, err := events.ParseName(cc.name.at(row))
 	if err != nil {
 		return nil, fmt.Errorf("columnar: %s.name: %w: %v", base, recordio.ErrCorrupt, err)
 	}
@@ -304,8 +319,8 @@ func (cc *chunkColumns) event(base string, row int) (*events.ClientEvent, error)
 		Initiator: events.Initiator(cc.initiator[row]),
 		Name:      name,
 		UserID:    cc.userID[row],
-		SessionID: cc.sessionID[row],
-		IP:        cc.ip[row],
+		SessionID: cc.sessionID.at(row),
+		IP:        cc.ip.at(row),
 		Timestamp: cc.timestamp[row],
 		Details:   cc.details[row],
 	}, nil

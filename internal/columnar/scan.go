@@ -132,17 +132,17 @@ func scanChunk(fs *hdfs.FS, base string, need map[string]bool, r *Row, fn func(*
 	*r = Row{chunk: c}
 	for i := 0; i < m.rows; i++ {
 		r.row = i
-		if cc.name != nil {
-			r.Name = cc.name[i]
+		if cc.name.ids != nil {
+			r.Name = cc.name.at(i)
 		}
 		if cc.userID != nil {
 			r.UserID = cc.userID[i]
 		}
-		if cc.sessionID != nil {
-			r.SessionID = cc.sessionID[i]
+		if cc.sessionID.ids != nil {
+			r.SessionID = cc.sessionID.at(i)
 		}
-		if cc.ip != nil {
-			r.IP = cc.ip[i]
+		if cc.ip.ids != nil {
+			r.IP = cc.ip.at(i)
 		}
 		if cc.timestamp != nil {
 			r.Timestamp = cc.timestamp[i]

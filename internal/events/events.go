@@ -228,17 +228,18 @@ func (p Pattern) String() string { return p.raw }
 
 // Matches reports whether the pattern matches the event name.
 func (p Pattern) Matches(n EventName) bool {
+	return p.matchComponents(&[NumComponents]string{n.Client, n.Page, n.Section, n.Component, n.Element, n.Action})
+}
+
+// matchComponents matches the pattern against a name's components, in
+// hierarchy order; a tail-anchored pattern aligns with the last ones.
+func (p Pattern) matchComponents(c *[NumComponents]string) bool {
+	off := 0
 	if p.tailAnchored {
-		off := NumComponents - len(p.parts)
-		for i, part := range p.parts {
-			if part != "*" && part != n.At(off+i) {
-				return false
-			}
-		}
-		return true
+		off = NumComponents - len(p.parts)
 	}
 	for i, part := range p.parts {
-		if part != "*" && part != n.At(i) {
+		if part != "*" && part != c[off+i] {
 			return false
 		}
 	}
@@ -265,14 +266,31 @@ func (p Pattern) PrunePrefix() (prefix string, ok bool) {
 	return strings.Join(p.parts[:n], ":"), true
 }
 
-// MatchesString parses s and reports whether the pattern matches; malformed
-// names never match.
+// MatchesString reports whether the pattern matches the event name s,
+// with exactly the semantics of ParseName followed by Matches: a name
+// that does not parse never matches. It splits s in place and does not
+// allocate, so a scan can afford it per row.
 func (p Pattern) MatchesString(s string) bool {
-	n, err := ParseName(s)
-	if err != nil {
+	var c [NumComponents]string
+	for i := 0; i < NumComponents-1; i++ {
+		j := strings.IndexByte(s, ':')
+		if j < 0 {
+			return false
+		}
+		c[i], s = s[:j], s[j+1:]
+	}
+	// A seventh component leaves a colon in the action, which
+	// validComponent rejects.
+	c[CompAction] = s
+	if c[CompClient] == "" || c[CompAction] == "" {
 		return false
 	}
-	return p.Matches(n)
+	for i := range c {
+		if !validComponent(c[i]) {
+			return false
+		}
+	}
+	return p.matchComponents(&c)
 }
 
 // Initiator records who triggered the event: the client or server side, and

@@ -141,6 +141,55 @@ func TestMatchesString(t *testing.T) {
 	}
 }
 
+// TestMatchesStringDoesNotAllocate: a scan calls MatchesString per row
+// or per dictionary entry, so a hit, a miss, a name that does not parse
+// and a tail-anchored pattern all run without touching the heap.
+func TestMatchesStringDoesNotAllocate(t *testing.T) {
+	cases := []struct {
+		pattern, name string
+		want          bool
+	}{
+		{"web:home:*", paperExample, true},
+		{"iphone:*", paperExample, false},
+		{"web:*", "web:Home:mentions:stream:avatar:profile_click", false},
+		{"*:avatar:profile_click", paperExample, true},
+	}
+	for _, c := range cases {
+		p := MustParsePattern(c.pattern)
+		var got bool
+		if allocs := testing.AllocsPerRun(100, func() { got = p.MatchesString(c.name) }); allocs != 0 {
+			t.Errorf("Pattern(%q).MatchesString(%q) allocates %v times, want 0", c.pattern, c.name, allocs)
+		}
+		if got != c.want {
+			t.Errorf("Pattern(%q).MatchesString(%q) = %v, want %v", c.pattern, c.name, got, c.want)
+		}
+	}
+}
+
+// referenceMatchesString is what MatchesString must equal: parse the
+// name the way decoders do, then match the parsed name.
+func referenceMatchesString(p Pattern, s string) bool {
+	n, err := ParseName(s)
+	return err == nil && p.Matches(n)
+}
+
+// FuzzMatchesString checks the in-place splitter against the reference
+// on arbitrary names and every pattern that parses. The seed corpus in
+// testdata/fuzz/FuzzMatchesString holds names with five and seven
+// components, an empty client or action, uppercase letters, a bare "*"
+// and a tail-anchored "*:x:y".
+func FuzzMatchesString(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name, pattern string) {
+		p, err := ParsePattern(pattern)
+		if err != nil {
+			return
+		}
+		if got, want := p.MatchesString(name), referenceMatchesString(p, name); got != want {
+			t.Fatalf("Pattern(%q).MatchesString(%q) = %v, reference = %v", pattern, name, got, want)
+		}
+	})
+}
+
 // TestClientEventRoundTrip reproduces Table 2: the client event structure
 // survives both Thrift protocols.
 func TestClientEventRoundTrip(t *testing.T) {
